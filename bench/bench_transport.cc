@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -340,10 +341,10 @@ int main(int argc, char** argv) {
 
   // --- section 3: end-to-end networked serving, connections x depth ---
   // The full K x pipeline-depth sizing matrix (ROADMAP multi-connection
-  // scaling item). Caveat: on a 1-core host every cell shares that core,
-  // so the matrix measures striping/pipelining *overhead*, not scaling —
-  // per-connection readers and depth-2 overlap only pay off with cores
-  // to run on. Re-record on a multi-core host for the sizing answer.
+  // scaling item). Per-connection readers and depth-2 overlap only pay off
+  // with cores to run on: on a 1-core host the matrix measures striping
+  // and pipelining overhead, not scaling, so the header names the host's
+  // hardware threads.
   const uint64_t users = std::max<uint64_t>(400, ScaledUsers(scale, 50000));
   const std::size_t timestamps =
       std::max<std::size_t>(8, ScaledLength(scale, 64));
@@ -353,10 +354,11 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nend-to-end over socket: LBU x %zu timestamps, %llu users/round, "
-      "adaptive shards\n"
-      "(1-core caveat: cells below measure striping/pipelining overhead, "
-      "not multi-core scaling)\n",
-      timestamps, static_cast<unsigned long long>(users));
+      "adaptive shards, %u hardware threads\n"
+      "(with 1 hardware thread, cells measure striping/pipelining "
+      "overhead, not scaling)\n",
+      timestamps, static_cast<unsigned long long>(users),
+      std::thread::hardware_concurrency());
   std::vector<std::vector<ServeCell>> serve_cells;  // [conn][depth]
   for (const std::size_t k : sweep) {
     serve_cells.emplace_back();

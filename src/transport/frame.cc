@@ -87,7 +87,12 @@ void AppendEncodedFrame(const Frame& frame, std::vector<uint8_t>* out) {
     throw std::invalid_argument("frame payload exceeds kMaxFramePayload");
   }
   const std::size_t start = out->size();
-  out->reserve(start + EncodedFrameSize(frame.payload.size()));
+  // Geometric growth: reserving exactly this frame's bytes would make
+  // appending a whole round to one vector reallocate on every frame.
+  const std::size_t needed = start + EncodedFrameSize(frame.payload.size());
+  if (needed > out->capacity()) {
+    out->reserve(std::max(needed, 2 * out->capacity()));
+  }
   out->push_back(kMagic0);
   out->push_back(kMagic1);
   out->push_back(kVersion);
@@ -166,6 +171,7 @@ FrameError TryDecodeFrame(const uint8_t* data, std::size_t size, Frame* out,
 }
 
 void FrameDecoder::Append(const uint8_t* data, std::size_t size) {
+  if (size == 0) return;  // an empty read may come with a null pointer
   std::memcpy(Reserve(size), data, size);
   Commit(size);
 }

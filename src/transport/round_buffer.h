@@ -47,17 +47,47 @@
 // The admission checks run before any per-round state is touched and apply
 // to end-of-round markers exactly as to data frames: a marker for an
 // already-drained round is a kClosedRound drop and a marker outside the
-// admission window is a kTooLate/kTooEarly drop — never a fresh
-// PendingRound that could pin memory for a round that will never drain
+// admission window is a kTooLate/kTooEarly drop — never fresh per-round
+// state that could pin memory for a round that will never drain
 // (regression-tested via pending_rounds()).
 //
-// Thread model: Deliver/EndRound are called from transport threads (socket
-// readers, replayers, test drivers); TakeRound blocks the session side on
-// a condition variable. All state is behind one mutex; the hot work
-// (decode, sketch folding) happens outside the buffer.
+// Corrupt stand-ins: a report-level corrupt copy keeps its genuine
+// packet's nonce, hence its identity. When one stream carries the round
+// and its sender puts the marker last (SendRoundFrames does), that is
+// harmless: completion is judged with the genuine packet already in.
+// Across striped connections it is not: a corrupt copy on one connection
+// could complete the round before its genuine packet arrives on another,
+// which would then drop as kClosedRound. So once more than one thread
+// delivers into the buffer, a copy counts toward completion only if it
+// passes its envelope checksum (fo/wire.h, fo/sketch_wire.h); copies
+// counted before the second thread appeared are re-checked. A single
+// delivering thread pays no checksum. A copy that fails is still buffered
+// — the ingest edge counts it malformed — and is a duplicate frame only if
+// its identity is counted by another copy of the round.
+//
+// Thread model: Deliver is called from transport threads (socket readers,
+// replayers, test drivers); TakeRound blocks the session side. Data
+// frames never take the buffer mutex. Each delivering thread owns a
+// delivery lane — its own lock, and per round a packet vector and an
+// identity set (U64Set), each sized from the lane's previous round. A
+// thread finds its lane through a thread-local cache keyed by a
+// per-buffer serial; lanes are registered once per thread, so the table
+// is bounded by the number of distinct delivering threads (a FrameDemux
+// thread feeding N buffers owns one lane in each). Admission reads the
+// round clocks as atomics; the only contention on a lane lock is the
+// drain. Markers, the completion wait and the drain share the buffer
+// mutex. Completion counts the union of the lanes' identity sets: when
+// the lanes' counts first reach the marker's, identities counted on more
+// than one lane are subtracted, so a copy on a second connection can
+// neither advance completion nor mask a loss. Such cross-lane repeats
+// join `duplicate_frames` when the round drains. A delivery racing the
+// drain of its round ends as a kClosedRound drop: TakeRound closes the
+// round before emptying the lanes, and Deliver re-checks under its lane
+// lock. The hot work (decode, sketch folding) happens outside the buffer.
 #ifndef LDPIDS_TRANSPORT_ROUND_BUFFER_H_
 #define LDPIDS_TRANSPORT_ROUND_BUFFER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -67,7 +97,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "service/session.h"
@@ -149,9 +178,13 @@ class RoundBuffer {
 
   // Session side. Blocks until round `round` is complete (marker seen and
   // its data-frame count arrived) or options.round_deadline elapses, then
-  // drains and closes the round, returning its packets in arrival order.
-  // Packets are the frames' payload refs — still aliasing the transport
-  // decoders' pooled blocks, which recycle once the round is consumed.
+  // drains and closes the round. Packets keep their arrival order within
+  // each delivery lane (one delivering thread, e.g. one connection's
+  // reader); the lanes are concatenated in registration order, so every
+  // copy of a packet that rides one connection keeps its order relative
+  // to the others. Packets are the frames' payload refs — still aliasing
+  // the transport decoders' pooled blocks, which recycle once the round is
+  // consumed.
   // Rounds must be taken strictly in order (throws std::logic_error
   // otherwise) — the session's round_index increments by one per round.
   std::vector<PayloadRef> TakeRound(uint64_t round);
@@ -162,27 +195,59 @@ class RoundBuffer {
   // data must never arm state here — regression-tested against pinning
   // memory for rounds that can never drain.
   std::size_t pending_rounds() const;
+  // Delivery lanes registered so far: one per distinct delivering thread.
+  std::size_t lane_count() const;
+  // Cumulative stats. Duplicates whose copies rode different lanes join
+  // duplicate_frames when their round drains.
   RoundBufferStats stats() const;
 
  private:
-  struct PendingRound {
-    std::vector<PayloadRef> packets;
-    // Identities of the packets buffered so far; completion counts these,
-    // not raw arrivals, so a duplicate cannot mask a loss.
-    std::unordered_set<uint64_t> identities;
-    bool marker_seen = false;
-    uint64_t expected = 0;  // distinct packets announced; valid once marker_seen
-  };
-  bool Complete(const PendingRound& p) const {
-    return p.marker_seen && p.identities.size() >= p.expected;
-  }
+  struct LaneRound;
+  struct Lane;
+  // What TakeRound learned about a round from one pass over the lanes.
+  struct RoundCount;
+
+  Lane& LocalLane();
+  Lane* RegisterLane();
+  DeliverResult DeliverMarker(const Frame& frame);
+  // Admission against the round clocks; kBuffered means admitted.
+  DeliverResult Admit(uint64_t round) const;
+  void AdvanceNewestRound(uint64_t round);
+  // Requires mu_ and every lane lock.
+  std::vector<LaneRound*> SlotsOf(uint64_t round) const;
+  RoundCount CountRound(uint64_t round, const std::vector<LaneRound*>& slots);
+  std::size_t PendingRoundsLocked() const;
+  RoundBufferStats StatsLocked() const;
+  // A counted delivery for the round TakeRound waits on: wakes it once
+  // enough have arrived that the round may have completed.
+  void NoteCountedArrival(uint64_t round);
 
   const RoundBufferOptions options_;
-  mutable std::mutex mu_;
+  // Process-unique, never reused: keys the thread-local lane cache, so a
+  // destroyed buffer's cached lane can never be mistaken for a live one.
+  const uint64_t serial_;
+
+  // Round clocks, read by every admission and written once per round.
+  alignas(64) std::atomic<uint64_t> next_round_{0};  // lowest undrained round
+  // Highest round ever admitted (lateness clock).
+  std::atomic<uint64_t> newest_round_{0};
+  std::atomic<std::size_t> lane_count_{0};
+  // Wake-up protocol between counted deliveries and the waiting drain:
+  // deliveries into `watch_round_` decrement `need_`, the number of newly
+  // counted identities that must arrive before completion is possible;
+  // the one that takes it to zero wakes TakeRound.
+  std::atomic<uint64_t> watch_round_;
+  // On its own cache line: the only per-frame read-modify-write, paid by
+  // deliveries that land after the drain started waiting.
+  alignas(64) std::atomic<int64_t> need_{0};
+
+  alignas(64) mutable std::mutex mu_;  // markers, lane table, wait, drain
   std::condition_variable complete_cv_;
-  std::map<uint64_t, PendingRound> pending_;
-  uint64_t next_round_ = 0;     // lowest undrained round
-  uint64_t newest_round_ = 0;   // highest round ever seen (admission clock)
+  bool dirty_ = false;  // under mu_: a marker or wake-up since the last count
+  std::map<uint64_t, uint64_t> markers_;  // round -> announced distinct count
+  std::vector<std::unique_ptr<Lane>> lanes_;  // in registration order
+  // Marker admission, drain and cross-lane duplicate accounting; the
+  // lanes hold their own data-frame counters.
   RoundBufferStats stats_;
   // Written under mu_ from the draining (session) side only.
   std::unique_ptr<obs::RoundBufferStatsFeed> metrics_feed_;

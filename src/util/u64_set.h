@@ -1,5 +1,5 @@
 // Flat open-addressing set of uint64 keys — the ingest shards' per-round
-// duplicate-nonce filter.
+// duplicate-nonce filter and the RoundBuffer lanes' packet-identity sets.
 //
 // std::unordered_set spends the dedup budget on a pointer chase per probe
 // (node allocation, bucket list walk). Report nonces are plain u64s that
@@ -32,29 +32,48 @@ class U64Set {
     return false;
   }
 
-  // Inserts `x`; a no-op if already present.
-  void Insert(uint64_t x) {
+  // Inserts `x`; returns false (and changes nothing) if already present.
+  bool Insert(uint64_t x) {
     if (x == 0) {
-      count_ += has_zero_ ? 0 : 1;
+      if (has_zero_) return false;
       has_zero_ = true;
-      return;
+      ++count_;
+      return true;
     }
     // Grow at 3/4 load; linear probing degrades fast beyond that.
     if ((count_ + 1) * 4 > slots_.size() * 3) Grow();
     std::size_t i = static_cast<std::size_t>(Mix64(x)) & mask_;
     while (slots_[i] != 0) {
-      if (slots_[i] == x) return;
+      if (slots_[i] == x) return false;
       i = (i + 1) & mask_;
     }
     slots_[i] = x;
     ++count_;
+    return true;
+  }
+
+  // Sizes the table so that `n` keys insert without growing.
+  void Reserve(std::size_t n) {
+    std::size_t cap = slots_.empty() ? 64 : slots_.size();
+    while ((n + 1) * 4 > cap * 3) cap *= 2;
+    if (cap > slots_.size()) Rehash(cap);
+  }
+
+  // Calls fn(x) once per member, in table order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (has_zero_) fn(uint64_t{0});
+    for (uint64_t x : slots_) {
+      if (x != 0) fn(x);
+    }
   }
 
   std::size_t size() const { return count_; }
 
  private:
-  void Grow() {
-    const std::size_t new_cap = slots_.empty() ? 64 : slots_.size() * 2;
+  void Grow() { Rehash(slots_.empty() ? 64 : slots_.size() * 2); }
+
+  void Rehash(std::size_t new_cap) {
     std::vector<uint64_t> old = std::move(slots_);
     slots_.assign(new_cap, 0);
     mask_ = new_cap - 1;

@@ -9,9 +9,12 @@
 // them again.
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -125,6 +128,29 @@ TEST(FrameCodecTest, OversizePayloadIsRejectedAtBothEnds) {
   EXPECT_EQ(transport::TryDecodeFrame(bytes.data(), bytes.size(), &decoded,
                                       &consumed),
             transport::FrameError::kOversize);
+}
+
+TEST(FrameCodecTest, AppendingAWholeRoundGrowsGeometrically) {
+  // Regression: AppendEncodedFrame used to reserve exactly one more
+  // frame, so appending a round to one vector reallocated on every frame.
+  std::vector<uint8_t> stream;
+  std::vector<uint8_t> expected;
+  std::size_t capacity_changes = 0;
+  std::size_t capacity = stream.capacity();
+  for (uint64_t i = 0; i < 10000; ++i) {
+    const Frame frame = MakeDataFrame(
+        3, 7, {static_cast<uint8_t>(i), static_cast<uint8_t>(i >> 8), 42});
+    transport::AppendEncodedFrame(frame, &stream);
+    const auto one = transport::EncodeFrame(frame);
+    expected.insert(expected.end(), one.begin(), one.end());
+    if (stream.capacity() != capacity) {
+      capacity = stream.capacity();
+      ++capacity_changes;
+    }
+  }
+  EXPECT_EQ(stream, expected);
+  // log2(10000 frames * 31 B) is about 18.
+  EXPECT_LE(capacity_changes, 24u);
 }
 
 TEST(FrameDecoderTest, SplitAndMergedReadsYieldTheSameFrames) {
@@ -370,6 +396,274 @@ TEST(RoundBufferTest, RejectedFarFutureFrameDoesNotPoisonTheWatermark) {
 TEST(RoundBufferTest, RoundsMustBeTakenInOrder) {
   RoundBuffer buffer;
   EXPECT_THROW(buffer.TakeRound(3), std::logic_error);
+}
+
+// A long-lived delivering thread — one RoundBuffer lane — that runs the
+// posted tasks in order.
+class Courier {
+ public:
+  Courier() : thread_([this] { Loop(); }) {}
+  ~Courier() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  void Post(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      tasks_.push_back(std::move(task));
+    }
+    cv_.notify_all();
+  }
+
+  // Blocks until every posted task has run.
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return tasks_.empty() && !busy_; });
+  }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [&] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
+      busy_ = true;
+      lock.unlock();
+      task();
+      lock.lock();
+      busy_ = false;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
+  bool busy_ = false;
+  bool stop_ = false;
+  std::thread thread_;  // last: starts after the state it reads
+};
+
+// A copy of an encoded wire report with one payload byte flipped: same
+// nonce (so the same PacketIdentity), failing envelope checksum.
+std::vector<uint8_t> CorruptCopy(std::vector<uint8_t> packet) {
+  packet[packet.size() - 5] ^= 0x01;  // last payload byte, before the checksum
+  return packet;
+}
+
+TEST(RoundBufferTest, CorruptCopyOnAnotherLaneCannotStandInForItsPacket) {
+  // Striping hazard: a report-corrupt copy keeps its genuine packet's
+  // nonce. Arriving on lane B ahead of everything else, it must not let
+  // the round complete while the genuine packet is still on its way on
+  // lane A — the genuine packet would then drop as kClosedRound and the
+  // release would change.
+  constexpr uint64_t kUsers = 60;
+  constexpr std::size_t kSteps = 4;
+  SessionOptions options;
+  options.num_shards = 2;
+  options.num_threads = 1;
+
+  std::vector<Histogram> expected;
+  {
+    const ClientFleet fleet(kUsers, TruthValue, 4242);
+    MechanismSession session(
+        CreateMechanism("LBA", SessionConfig("GRR"), kUsers), kDomain,
+        options, fleet.Transport(1));
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      expected.push_back(session.Advance().release);
+    }
+  }
+
+  const ClientFleet fleet(kUsers, TruthValue, 4242);
+  RoundBuffer buffer;
+  Courier lane_a;
+  Courier lane_b;
+  auto announce = [&](const RoundRequest& request) {
+    const uint64_t round = request.round_index;
+    auto packets = fleet.ProduceRound(request, 1);
+    ASSERT_GE(packets.size(), 2u);
+    const std::vector<uint8_t> late = packets[0];
+    lane_b.Post([&buffer, round, copy = CorruptCopy(late)] {
+      buffer.Deliver(MakeDataFrame(kSessionId, round, copy));
+    });
+    lane_b.Wait();  // the corrupt copy is in before anything else
+    lane_a.Post([&buffer, round, packets, late] {
+      for (std::size_t i = 1; i < packets.size(); ++i) {
+        buffer.Deliver(MakeDataFrame(kSessionId, round, packets[i]));
+      }
+      buffer.Deliver(MakeEndRoundFrame(kSessionId, round, packets.size()));
+      // TakeRound is waiting by now; the genuine packet lands last.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      buffer.Deliver(MakeDataFrame(kSessionId, round, late));
+    });
+  };
+
+  std::vector<Histogram> released;
+  uint64_t malformed = 0;
+  {
+    MechanismSession session(
+        CreateMechanism("LBA", SessionConfig("GRR"), kUsers), kDomain,
+        options, MakeBufferedTransport(buffer, announce, 1));
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      released.push_back(session.Advance().release);
+    }
+    malformed = session.stats().malformed;
+    EXPECT_EQ(session.stats().duplicate, 0u);
+  }
+  lane_a.Wait();
+  EXPECT_EQ(released, expected);
+  const transport::RoundBufferStats stats = buffer.stats();
+  EXPECT_EQ(malformed, stats.rounds_drained);  // one corrupt copy a round
+  EXPECT_EQ(stats.closed_round_drops, 0u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
+  EXPECT_EQ(stats.duplicate_frames, stats.rounds_drained);
+  EXPECT_EQ(buffer.lane_count(), 2u);
+}
+
+// K threads deliver interleaved rounds — cross-lane duplicates, frames
+// after the marker, stragglers for drained rounds and one round with a
+// loss masked by a duplicate — while this thread drains. Every counter
+// and every round's packet multiset is exact.
+class RoundBufferConcurrencyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RoundBufferConcurrencyTest, LanesDrainExactRoundsAndStats) {
+  const std::size_t lanes = static_cast<std::size_t>(GetParam());
+  constexpr uint64_t kRounds = 30;
+  constexpr std::size_t kPackets = 48;
+  constexpr uint64_t kLossyRound = kRounds - 1;
+
+  auto packet = [](uint64_t round, std::size_t i) {
+    return EncodeGrrReport(static_cast<uint32_t>(i % kDomain), kDomain,
+                           static_cast<uint32_t>(round),
+                           round * 1000 + i + 1);
+  };
+  // Thread t owns packets i % K == t and re-sends every sixth packet of
+  // its neighbour's: a cross-lane duplicate. The lossy round never sends
+  // packet 0 nor copies of it.
+  auto owns = [&](std::size_t t, std::size_t i) { return i % lanes == t; };
+  auto copies = [&](std::size_t t, uint64_t round, std::size_t i) {
+    return owns((t + 1) % lanes, i) && i % 6 == 0 &&
+           !(round == kLossyRound && i == 0);
+  };
+  auto lost = [&](uint64_t round, std::size_t i) {
+    return round == kLossyRound && i == 0;
+  };
+
+  std::vector<std::vector<std::vector<uint8_t>>> sent(kRounds);
+  uint64_t expected_duplicates = 0;
+  for (uint64_t r = 0; r < kRounds; ++r) {
+    for (std::size_t i = 0; i < kPackets; ++i) {
+      if (!lost(r, i)) sent[r].push_back(packet(r, i));
+      for (std::size_t t = 0; t < lanes; ++t) {
+        if (copies(t, r, i)) {
+          sent[r].push_back(packet(r, i));
+          ++expected_duplicates;
+        }
+      }
+    }
+    std::sort(sent[r].begin(), sent[r].end());
+  }
+
+  RoundBufferOptions options;
+  // Only the lossy round waits this out.
+  options.round_deadline = std::chrono::milliseconds(500);
+  RoundBuffer buffer(options);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < lanes; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t r = 0; r < kRounds; ++r) {
+        if (r >= 2) {
+          // A straggler for a round this thread saw drain: a typed drop.
+          while (buffer.next_round() <= r - 2) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+          EXPECT_EQ(buffer.Deliver(MakeDataFrame(0, r - 2, packet(r - 2, t))),
+                    DeliverResult::kClosedRound);
+        }
+        // The last owned packet goes out after the copies, so no copy can
+        // arrive after its round completed.
+        std::size_t last = kPackets;
+        for (std::size_t i = 0; i < kPackets; ++i) {
+          if (owns(t, i)) last = i;
+        }
+        for (std::size_t i = 0; i < kPackets; ++i) {
+          if (owns(t, i) && i != last && !lost(r, i)) {
+            buffer.Deliver(MakeDataFrame(0, r, packet(r, i)));
+          }
+        }
+        // Lane 0's copies and last packet arrive after the marker.
+        if (t == 0) buffer.Deliver(MakeEndRoundFrame(0, r, kPackets));
+        for (std::size_t i = 0; i < kPackets; ++i) {
+          if (copies(t, r, i)) {
+            buffer.Deliver(MakeDataFrame(0, r, packet(r, i)));
+          }
+        }
+        buffer.Deliver(MakeDataFrame(0, r, packet(r, last)));
+      }
+    });
+  }
+  for (uint64_t r = 0; r < kRounds; ++r) {
+    std::vector<std::vector<uint8_t>> drained;
+    for (const PayloadRef& p : buffer.TakeRound(r)) {
+      drained.push_back(p.ToVector());
+    }
+    std::sort(drained.begin(), drained.end());
+    EXPECT_EQ(drained, sent[r]) << "round " << r;
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  uint64_t buffered = 0;
+  for (const auto& round : sent) buffered += round.size();
+  const transport::RoundBufferStats stats = buffer.stats();
+  EXPECT_EQ(stats.buffered, buffered);
+  EXPECT_EQ(stats.packets_drained, buffered);
+  EXPECT_EQ(stats.rounds_drained, kRounds);
+  EXPECT_EQ(stats.end_markers, kRounds);
+  EXPECT_EQ(stats.duplicate_frames, expected_duplicates);
+  EXPECT_EQ(stats.closed_round_drops, lanes * (kRounds - 2));
+  EXPECT_EQ(stats.too_late_drops, 0u);
+  EXPECT_EQ(stats.too_early_drops, 0u);
+  EXPECT_EQ(stats.deadline_flushes, 1u);
+  EXPECT_EQ(stats.masked_losses, 1u);
+  EXPECT_EQ(buffer.lane_count(), lanes);
+  EXPECT_EQ(buffer.pending_rounds(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, RoundBufferConcurrencyTest,
+                         ::testing::Values(2, 4));
+
+TEST(FrameDemuxTest, OneDeliveringThreadOwnsOneLanePerBuffer) {
+  RoundBuffer a;
+  RoundBuffer b;
+  RoundBuffer c;
+  FrameDemux demux;
+  demux.Register(1, &a);
+  demux.Register(2, &b);
+  demux.Register(3, &c);
+  auto handler = demux.Handler();
+  std::thread reader([&] {
+    for (uint64_t i = 0; i < 300; ++i) {
+      handler(MakeDataFrame(1 + i % 3, 0,
+                            {static_cast<uint8_t>(i),
+                             static_cast<uint8_t>(i >> 8)}));
+    }
+  });
+  reader.join();
+  for (const RoundBuffer* buffer : {&a, &b, &c}) {
+    EXPECT_EQ(buffer->lane_count(), 1u);
+    EXPECT_EQ(buffer->stats().buffered, 100u);
+  }
+  // A second delivering thread gets a lane of its own.
+  handler(MakeDataFrame(1, 0, {7, 7, 7}));
+  EXPECT_EQ(a.lane_count(), 2u);
+  EXPECT_EQ(b.lane_count(), 1u);
 }
 
 TEST(FrameDemuxTest, RoutesBySessionAndCountsUnknownSessions) {

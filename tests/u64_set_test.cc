@@ -55,5 +55,23 @@ TEST(U64SetTest, SurvivesAdversariallySequentialKeys) {
   EXPECT_FALSE(set.Contains(0));
 }
 
+TEST(U64SetTest, InsertReportsNoveltyAndForEachVisitsEveryMember) {
+  U64Set set;
+  set.Reserve(1000);
+  EXPECT_TRUE(set.Insert(0));
+  EXPECT_FALSE(set.Insert(0));
+  for (uint64_t i = 1; i <= 1000; ++i) EXPECT_TRUE(set.Insert(i * 31));
+  EXPECT_FALSE(set.Insert(31));
+  EXPECT_EQ(set.size(), 1001u);
+  uint64_t sum = 0;
+  std::size_t members = 0;
+  set.ForEach([&](uint64_t x) {
+    sum += x;
+    ++members;
+  });
+  EXPECT_EQ(members, set.size());
+  EXPECT_EQ(sum, 31u * 1000u * 1001u / 2u);
+}
+
 }  // namespace
 }  // namespace ldpids
