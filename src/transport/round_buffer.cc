@@ -11,7 +11,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -78,6 +77,25 @@ constexpr std::size_t kLaneCacheSize = 8;
 
 std::atomic<uint64_t> next_buffer_serial{1};
 
+// Cleared when its thread exits. A lane whose owner has exited is handed
+// to the next thread that registers, so a server that starts a reader
+// thread per accepted connection reuses lanes across reconnects instead
+// of growing the table.
+class ThreadLiveness {
+ public:
+  ThreadLiveness() : alive_(std::make_shared<std::atomic<bool>>(true)) {}
+  ~ThreadLiveness() { alive_->store(false); }
+  const std::shared_ptr<std::atomic<bool>>& token() const { return alive_; }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> alive_;
+};
+
+std::shared_ptr<const std::atomic<bool>> ThisThreadLiveness() {
+  static thread_local ThreadLiveness liveness;
+  return liveness.token();
+}
+
 // A payload's identity, and whether this copy may count toward its round's
 // completion.
 struct PacketKey {
@@ -92,17 +110,17 @@ bool TrailingChecksumOk(const uint8_t* data, std::size_t size) {
          WireChecksum(data, size - 4) == GetU32Le(data + size - 4);
 }
 
-// `check`: verify the envelope checksum of a payload whose identity is
-// read from an envelope field — a corrupt copy keeps that field, so it
+// A payload whose identity is read from an envelope field is intact only
+// if its envelope checksum passes — a corrupt copy keeps that field, so it
 // must not stand in for its genuine packet. An identity hashed from the
 // raw bytes is its own proof.
-PacketKey IdentifyPacket(const uint8_t* data, std::size_t size, bool check) {
+PacketKey IdentifyPacket(const uint8_t* data, std::size_t size) {
   uint64_t nonce = 0;
   if (PeekWireNonce(data, size, &nonce)) {
     // Well-formed envelope prefix: the user nonce is the packet's logical
     // identity (retransmitted copies share it even if other bytes were
     // corrupted in one copy).
-    return {nonce, !check || TrailingChecksumOk(data, size)};
+    return {nonce, TrailingChecksumOk(data, size)};
   }
   uint64_t node_id = 0;
   if (PeekPartialSketchNodeId(data, size, &node_id)) {
@@ -114,7 +132,7 @@ PacketKey IdentifyPacket(const uint8_t* data, std::size_t size, bool check) {
     uint64_t z = node_id + 0x9E3779B97F4A7C15ull;
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return {z ^ (z >> 31), !check || TrailingChecksumOk(data, size)};
+    return {z ^ (z >> 31), TrailingChecksumOk(data, size)};
   }
   // Too mangled to carry a nonce: fall back to the raw bytes (FNV-1a).
   // Byte-identical re-deliveries still collapse; distinct corrupted
@@ -138,7 +156,7 @@ void CountDrop(DeliverResult result, RoundBufferStats* stats) {
 }  // namespace
 
 uint64_t PacketIdentity(const uint8_t* data, std::size_t size) {
-  return IdentifyPacket(data, size, /*check=*/false).identity;
+  return IdentifyPacket(data, size).identity;
 }
 
 // One lane's share of one round. Once its round drains, a slot is reused
@@ -154,15 +172,11 @@ struct RoundBuffer::LaneRound {
   U64Set counted;
   // Identities of checksum-failed copies not counted when they arrived.
   std::vector<uint64_t> uncounted;
-  // Some copy was counted without a checksum check (delivered while this
-  // lane was the buffer's only one).
-  bool unchecked = false;
   std::size_t reserve_hint = 0;  // packets the slot's previous round held
 
   void Open(uint64_t r) {
     round = r;
     uncounted.clear();
-    unchecked = false;
     packets.reserve(reserve_hint);
     counted.Reserve(reserve_hint);
   }
@@ -181,22 +195,13 @@ struct RoundBuffer::LaneRound {
   uint64_t local_duplicates() const {
     return packets.size() - counted.size() - uncounted.size();
   }
-
-  // Re-classifies every copy with the checksum check, once a second lane
-  // exists.
-  void Recheck() {
-    counted = U64Set();
-    uncounted.clear();
-    unchecked = false;
-    for (const PayloadRef& p : packets) {
-      Classify(IdentifyPacket(p.data(), p.size(), /*check=*/true));
-    }
-  }
 };
 
 struct alignas(64) RoundBuffer::Lane {
   std::mutex mu;
-  std::thread::id owner;
+  // The owning thread's liveness (ThisThreadLiveness); under the buffer
+  // mutex.
+  std::shared_ptr<const std::atomic<bool>> owner;
   std::vector<std::unique_ptr<LaneRound>> slots;
   LaneRound* last = nullptr;  // slot of the previous delivery
   // buffered and the admission drops of data frames; duplicates are read
@@ -261,15 +266,21 @@ RoundBuffer::Lane& RoundBuffer::LocalLane() {
 }
 
 RoundBuffer::Lane* RoundBuffer::RegisterLane() {
-  const std::thread::id self = std::this_thread::get_id();
+  std::shared_ptr<const std::atomic<bool>> self = ThisThreadLiveness();
   std::lock_guard<std::mutex> lock(mu_);
+  Lane* orphan = nullptr;
   for (const auto& lane : lanes_) {
     if (lane->owner == self) return lane.get();
+    if (orphan == nullptr && !lane->owner->load()) orphan = lane.get();
   }
-  lanes_.push_back(std::make_unique<Lane>());
-  lanes_.back()->owner = self;
-  lane_count_.store(lanes_.size());
-  return lanes_.back().get();
+  if (orphan == nullptr) {
+    lanes_.push_back(std::make_unique<Lane>());
+    orphan = lanes_.back().get();
+  }
+  // An exited thread's lane keeps whatever it buffered; its new owner
+  // appends behind it, so arrival order within the lane still holds.
+  orphan->owner = std::move(self);
+  return orphan;
 }
 
 DeliverResult RoundBuffer::Admit(uint64_t round) const {
@@ -299,12 +310,11 @@ DeliverResult RoundBuffer::Deliver(Frame&& frame) {
   if (frame.kind == FrameKind::kEndRound) return DeliverMarker(frame);
   const uint64_t round = frame.timestamp;
   Lane& lane = LocalLane();
-  // The identity (and, with more than one lane, the checksum verdict)
-  // depends only on the frame bytes — computed before taking the lane lock
-  // (a wasted hash on the rare dropped frame is the cheaper side).
-  const bool checked = lane_count_.load(std::memory_order_relaxed) > 1;
+  // The identity and the checksum verdict depend only on the frame bytes
+  // — computed before taking the lane lock (a wasted hash on the rare
+  // dropped frame is the cheaper side).
   const PacketKey key =
-      IdentifyPacket(frame.payload.data(), frame.payload.size(), checked);
+      IdentifyPacket(frame.payload.data(), frame.payload.size());
   DeliverResult result = Admit(round);
   LaneRound::Outcome outcome = LaneRound::Outcome::kDuplicate;
   {
@@ -324,7 +334,6 @@ DeliverResult RoundBuffer::Deliver(Frame&& frame) {
     // per-round duplicate rejection (by nonce) and its acceptance
     // accounting — but only the first counted copy advances completion.
     slot.packets.push_back(std::move(frame.payload));
-    if (!checked) slot.unchecked = true;
     outcome = slot.Classify(key);
     ++lane.stats.buffered;
   }
@@ -420,9 +429,6 @@ RoundBuffer::RoundCount RoundBuffer::CountRound(
     uint64_t round, const std::vector<LaneRound*>& slots) {
   RoundCount count;
   for (LaneRound* slot : slots) {
-    // A slot filled while its lane was the only one counted corrupt copies
-    // unchecked; now that a second lane exists, they must not stand in.
-    if (slot->unchecked && lanes_.size() > 1) slot->Recheck();
     count.arrivals += slot->packets.size();
     count.counted += slot->counted.size();
   }
@@ -577,7 +583,10 @@ std::size_t RoundBuffer::pending_rounds() const {
   return PendingRoundsLocked();
 }
 
-std::size_t RoundBuffer::lane_count() const { return lane_count_.load(); }
+std::size_t RoundBuffer::lane_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lanes_.size();
+}
 
 RoundBufferStats RoundBuffer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -659,10 +668,13 @@ void SendRoundFrames(const std::vector<FrameSender*>& senders,
       throw std::invalid_argument("SendRoundFrames got a null sender");
     }
   }
+  // Counted by the receiver's rule: a packet corrupted before it was sent
+  // counts toward the marker only if an intact copy of it is sent too.
   U64Set identities;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     const std::vector<uint8_t>& packet = packets[i];
-    identities.Insert(PacketIdentity(packet.data(), packet.size()));
+    const PacketKey key = IdentifyPacket(packet.data(), packet.size());
+    if (key.intact) identities.Insert(key.identity);
     senders[i % senders.size()]->Send(
         MakeDataFrame(session_id, round, packet));
   }

@@ -17,22 +17,22 @@
 // drained strictly in order.
 //
 // Completion: the sender finishes a round with an end-of-round marker
-// carrying the number of *distinct* packets it transmitted for the round
-// (SendRoundFrames computes that count itself via PacketIdentity). The
-// round is complete when the marker has been seen and that many distinct
-// packets have arrived — in any order; "late" packets that arrive after
-// the marker still count. Distinctness matters: completion used to count
-// raw arrivals, so a frame duplicated in flight could mask a lost frame —
-// the round was released as "complete" while silently missing a real
-// packet (the duplicate was only rejected later by the ingest nonce
-// check). Duplicates are still buffered (the ingest edge owns per-round
-// duplicate accounting) but no longer advance completion; they are counted
-// in `duplicate_frames`, and a deadline flush whose raw arrivals reached
-// the marker's count while distinct ones did not is counted in
-// `masked_losses` — the exact case the old accounting released silently.
-// If the deadline passes first, the round is flushed with whatever arrived
-// (the session decides whether a partial — possibly empty — round is
-// fatal) and a deadline flush is counted.
+// carrying the number of *distinct* intact packets it transmitted for the
+// round (SendRoundFrames computes that count itself; see "Corrupt
+// stand-ins" below). The round is complete when the marker has been seen
+// and that many distinct intact packets have arrived — in any order;
+// "late" packets that arrive after the marker still count. Distinctness
+// matters: completion used to count raw arrivals, so a frame duplicated in
+// flight could mask a lost frame — the round was released as "complete"
+// while silently missing a real packet (the duplicate was only rejected
+// later by the ingest nonce check). Duplicates are still buffered (the
+// ingest edge owns per-round duplicate accounting) but no longer advance
+// completion; they are counted in `duplicate_frames`, and a deadline
+// flush whose raw arrivals reached the marker's count while distinct ones
+// did not is counted in `masked_losses` — the exact case the old
+// accounting released silently. If the deadline passes first, the round
+// is flushed with whatever arrived (the session decides whether a partial
+// — possibly empty — round is fatal) and a deadline flush is counted.
 //
 // Watermark policy, applied at admission (per-reason drop stats):
 //   * a frame for an already-drained round is dropped (kClosedRound);
@@ -52,18 +52,17 @@
 // (regression-tested via pending_rounds()).
 //
 // Corrupt stand-ins: a report-level corrupt copy keeps its genuine
-// packet's nonce, hence its identity. When one stream carries the round
-// and its sender puts the marker last (SendRoundFrames does), that is
-// harmless: completion is judged with the genuine packet already in.
-// Across striped connections it is not: a corrupt copy on one connection
-// could complete the round before its genuine packet arrives on another,
-// which would then drop as kClosedRound. So once more than one thread
-// delivers into the buffer, a copy counts toward completion only if it
-// passes its envelope checksum (fo/wire.h, fo/sketch_wire.h); copies
-// counted before the second thread appeared are re-checked. A single
-// delivering thread pays no checksum. A copy that fails is still buffered
-// — the ingest edge counts it malformed — and is a duplicate frame only if
-// its identity is counted by another copy of the round.
+// packet's nonce, hence its identity. Counted, it could complete a round
+// before its genuine packet arrives on another striped connection (which
+// would then drop as kClosedRound), or stand in for a genuine packet that
+// was lost. So a copy whose identity is read from an envelope field counts
+// toward completion only if it passes that envelope's checksum (fo/wire.h,
+// fo/sketch_wire.h), on every lane; an identity hashed from the raw bytes
+// always counts. SendRoundFrames applies the same rule to the count its
+// marker announces, so a packet corrupted before it was sent, with no
+// intact copy, is expected by neither end. A copy that fails is still
+// buffered — the ingest edge counts it malformed — and is a duplicate
+// frame only if its identity is counted by another copy of the round.
 //
 // Thread model: Deliver is called from transport threads (socket readers,
 // replayers, test drivers); TakeRound blocks the session side. Data
@@ -71,12 +70,14 @@
 // delivery lane — its own lock, and per round a packet vector and an
 // identity set (U64Set), each sized from the lane's previous round. A
 // thread finds its lane through a thread-local cache keyed by a
-// per-buffer serial; lanes are registered once per thread, so the table
-// is bounded by the number of distinct delivering threads (a FrameDemux
-// thread feeding N buffers owns one lane in each). Admission reads the
-// round clocks as atomics; the only contention on a lane lock is the
-// drain. Markers, the completion wait and the drain share the buffer
-// mutex. Completion counts the union of the lanes' identity sets: when
+// per-buffer serial. A lane is registered once per thread, and the lane of
+// a thread that has exited goes to the next thread that registers, so the
+// table is bounded by the number of delivering threads alive at once —
+// reconnects, each served by a fresh reader thread, do not grow it (a
+// FrameDemux thread feeding N buffers owns one lane in each). Admission
+// reads the round clocks as atomics; the only contention on a lane lock
+// is the drain. Markers, the completion wait and the drain share the
+// buffer mutex. Completion counts the union of the lanes' identity sets: when
 // the lanes' counts first reach the marker's, identities counted on more
 // than one lane are subtracted, so a copy on a second connection can
 // neither advance completion nor mask a loss. Such cross-lane repeats
@@ -142,8 +143,9 @@ struct RoundBufferStats {
   // in their round: re-deliveries that must not advance completion.
   uint64_t duplicate_frames = 0;
   // Deadline flushes where raw arrivals had reached the marker's count but
-  // distinct ones had not — a duplicate masking a genuine loss, which the
-  // pre-distinct accounting would have released as "complete".
+  // distinct intact ones had not — a duplicate or corrupt copy masking a
+  // genuine loss, which the pre-distinct accounting would have released
+  // as "complete".
   uint64_t masked_losses = 0;
 
   uint64_t dropped() const {
@@ -195,7 +197,7 @@ class RoundBuffer {
   // data must never arm state here — regression-tested against pinning
   // memory for rounds that can never drain.
   std::size_t pending_rounds() const;
-  // Delivery lanes registered so far: one per distinct delivering thread.
+  // Delivery lanes: the most delivering threads alive at once so far.
   std::size_t lane_count() const;
   // Cumulative stats. Duplicates whose copies rode different lanes join
   // duplicate_frames when their round drains.
@@ -231,7 +233,6 @@ class RoundBuffer {
   alignas(64) std::atomic<uint64_t> next_round_{0};  // lowest undrained round
   // Highest round ever admitted (lateness clock).
   std::atomic<uint64_t> newest_round_{0};
-  std::atomic<std::size_t> lane_count_{0};
   // Wake-up protocol between counted deliveries and the waiting drain:
   // deliveries into `watch_round_` decrement `need_`, the number of newly
   // counted identities that must arrive before completion is possible;
@@ -314,16 +315,20 @@ service::SplitRoundTransport MakeBufferedSplitTransport(
 // nonce when the payload carries a readable one (PeekWireNonce), else a
 // 64-bit hash of the raw bytes. Re-deliveries of one packet — and sender
 // retransmissions of one user's report — share an identity, so they count
-// once toward a round's completion. Both ends of the protocol use this
-// same function: RoundBuffer to count distinct arrivals, SendRoundFrames
-// to compute the distinct count its end-of-round marker announces.
+// once toward a round's completion. Both ends of the protocol count
+// identities the same way: RoundBuffer to count distinct arrivals,
+// SendRoundFrames to compute the distinct count its end-of-round marker
+// announces — each counting a payload whose identity is read from an
+// envelope field only once a copy of it passes that envelope's checksum.
 uint64_t PacketIdentity(const uint8_t* data, std::size_t size);
 
 // Sender-side helper: transmits one round's packets as data frames
 // followed by the end-of-round marker, then flushes. `round` must be the
 // session's RoundRequest::round_index. The marker announces the number of
-// *distinct* packets (PacketIdentity) in `packets`, so callers may include
-// deliberate duplicates without wedging the receiver's completion count.
+// *distinct* packets (PacketIdentity) in `packets` that have an intact
+// copy — the receiver's counting rule — so callers may include deliberate
+// duplicates and corrupted packets without wedging the receiver's
+// completion count.
 void SendRoundFrames(FrameSender& sender, uint64_t session_id,
                      uint64_t round,
                      const std::vector<std::vector<uint8_t>>& packets);

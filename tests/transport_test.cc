@@ -41,6 +41,7 @@ namespace {
 
 using service::ClientFleet;
 using service::MechanismSession;
+using service::ReportRouter;
 using service::RoundRequest;
 using service::SessionOptions;
 using transport::DeliverResult;
@@ -458,6 +459,24 @@ std::vector<uint8_t> CorruptCopy(std::vector<uint8_t> packet) {
   return packet;
 }
 
+TEST(RoundBufferTest, CorruptCopyCannotStandInForALostPacket) {
+  // One lane follows the same rule as many: a corrupt copy of a report
+  // that was lost must not complete the round in its place.
+  RoundBufferOptions options;
+  options.round_deadline = std::chrono::milliseconds(50);
+  RoundBuffer buffer(options);
+  const auto lost = EncodeGrrReport(1, kDomain, 0, 11);
+  const auto kept = EncodeGrrReport(2, kDomain, 0, 12);
+  buffer.Deliver(MakeDataFrame(0, 0, kept));
+  buffer.Deliver(MakeDataFrame(0, 0, CorruptCopy(lost)));
+  buffer.Deliver(MakeEndRoundFrame(0, 0, 2));
+  EXPECT_EQ(buffer.TakeRound(0).size(), 2u);
+  const transport::RoundBufferStats stats = buffer.stats();
+  EXPECT_EQ(stats.deadline_flushes, 1u);
+  EXPECT_EQ(stats.masked_losses, 1u);
+  EXPECT_EQ(stats.duplicate_frames, 0u);
+}
+
 TEST(RoundBufferTest, CorruptCopyOnAnotherLaneCannotStandInForItsPacket) {
   // Striping hazard: a report-corrupt copy keeps its genuine packet's
   // nonce. Arriving on lane B ahead of everything else, it must not let
@@ -555,15 +574,20 @@ TEST_P(RoundBufferConcurrencyTest, LanesDrainExactRoundsAndStats) {
   auto lost = [&](uint64_t round, std::size_t i) {
     return round == kLossyRound && i == 0;
   };
+  // Packets compare as strings: sorting byte vectors trips a false
+  // -Wstringop-overread in GCC 12 at -O3.
+  auto bytes = [](const std::vector<uint8_t>& v) {
+    return std::string(v.begin(), v.end());
+  };
 
-  std::vector<std::vector<std::vector<uint8_t>>> sent(kRounds);
+  std::vector<std::vector<std::string>> sent(kRounds);
   uint64_t expected_duplicates = 0;
   for (uint64_t r = 0; r < kRounds; ++r) {
     for (std::size_t i = 0; i < kPackets; ++i) {
-      if (!lost(r, i)) sent[r].push_back(packet(r, i));
+      if (!lost(r, i)) sent[r].push_back(bytes(packet(r, i)));
       for (std::size_t t = 0; t < lanes; ++t) {
         if (copies(t, r, i)) {
-          sent[r].push_back(packet(r, i));
+          sent[r].push_back(bytes(packet(r, i)));
           ++expected_duplicates;
         }
       }
@@ -610,9 +634,9 @@ TEST_P(RoundBufferConcurrencyTest, LanesDrainExactRoundsAndStats) {
     });
   }
   for (uint64_t r = 0; r < kRounds; ++r) {
-    std::vector<std::vector<uint8_t>> drained;
+    std::vector<std::string> drained;
     for (const PayloadRef& p : buffer.TakeRound(r)) {
-      drained.push_back(p.ToVector());
+      drained.push_back(bytes(p.ToVector()));
     }
     std::sort(drained.begin(), drained.end());
     EXPECT_EQ(drained, sent[r]) << "round " << r;
@@ -648,22 +672,60 @@ TEST(FrameDemuxTest, OneDeliveringThreadOwnsOneLanePerBuffer) {
   demux.Register(2, &b);
   demux.Register(3, &c);
   auto handler = demux.Handler();
-  std::thread reader([&] {
+  Courier reader;
+  reader.Post([&] {
     for (uint64_t i = 0; i < 300; ++i) {
       handler(MakeDataFrame(1 + i % 3, 0,
                             {static_cast<uint8_t>(i),
                              static_cast<uint8_t>(i >> 8)}));
     }
   });
-  reader.join();
+  reader.Wait();
   for (const RoundBuffer* buffer : {&a, &b, &c}) {
     EXPECT_EQ(buffer->lane_count(), 1u);
     EXPECT_EQ(buffer->stats().buffered, 100u);
   }
-  // A second delivering thread gets a lane of its own.
+  // A second delivering thread, while the first is alive, gets a lane of
+  // its own.
   handler(MakeDataFrame(1, 0, {7, 7, 7}));
   EXPECT_EQ(a.lane_count(), 2u);
   EXPECT_EQ(b.lane_count(), 1u);
+}
+
+TEST(RoundBufferTest, ReconnectsReuseTheLanesOfExitedThreads) {
+  // A socket listener serves every accepted connection on a fresh reader
+  // thread. Once a reader has exited, the next one takes over its lane —
+  // the lane table stays at the number of readers alive at once — and the
+  // packets it buffered keep their place ahead of the new owner's.
+  RoundBuffer buffer;
+  std::vector<std::vector<uint8_t>> sent;
+  auto deliver = [&buffer](uint8_t tag) {
+    buffer.Deliver(MakeDataFrame(0, 0, {tag, tag, 1}));
+  };
+  for (uint8_t connection = 0; connection < 5; ++connection) {
+    std::thread reader(deliver, connection);
+    reader.join();
+    sent.push_back({connection, connection, 1});
+  }
+  EXPECT_EQ(buffer.lane_count(), 1u);
+  {
+    Courier first;
+    Courier second;
+    first.Post([&] { deliver(10); });
+    first.Wait();
+    second.Post([&] { deliver(20); });
+    second.Wait();
+    EXPECT_EQ(buffer.lane_count(), 2u);
+  }
+  sent.push_back({10, 10, 1});
+  sent.push_back({20, 20, 1});
+  buffer.Deliver(MakeEndRoundFrame(0, 0, sent.size()));
+  std::vector<std::vector<uint8_t>> drained;
+  for (const PayloadRef& p : buffer.TakeRound(0)) {
+    drained.push_back(p.ToVector());
+  }
+  EXPECT_EQ(drained, sent);  // lanes in registration order, each in order
+  EXPECT_EQ(buffer.stats().deadline_flushes, 0u);
 }
 
 TEST(FrameDemuxTest, RoutesBySessionAndCountsUnknownSessions) {
@@ -1024,6 +1086,81 @@ INSTANTIATE_TEST_SUITE_P(AllOracles, MultiConnectionTest,
                          [](const auto& info) {
                            return std::string(OracleIdName(info.param));
                          });
+
+TEST(StripedSocketTest, LoneCorruptReportsDoNotStallTheRound) {
+  // Reports corrupted before they were sent, with no intact copy: the
+  // sender's marker must count them exactly as the receiver does (not at
+  // all), or every round waits out its deadline although every packet
+  // arrived. One corrupt report rides each connection.
+  constexpr uint64_t kUsers = 300;
+  constexpr std::size_t kSteps = 4;
+  constexpr std::size_t kConnections = 2;
+  SessionOptions options;
+  options.num_shards = 2;
+  options.num_threads = 1;
+  auto produce = [](const ClientFleet& fleet, const RoundRequest& request) {
+    auto packets = fleet.ProduceRound(request, 1);
+    for (std::size_t i = 0; i < kConnections; ++i) {
+      packets[i] = CorruptCopy(packets[i]);
+    }
+    return packets;
+  };
+
+  std::vector<Histogram> expected;
+  {
+    const ClientFleet fleet(kUsers, TruthValue, 4242);
+    MechanismSession session(
+        CreateMechanism("LBA", SessionConfig("GRR"), kUsers), kDomain,
+        options, [&](const RoundRequest& request, ReportRouter& router) {
+          router.IngestBatch(produce(fleet, request), 1);
+        });
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      expected.push_back(session.Advance().release);
+    }
+  }
+
+  std::vector<Histogram> via_sockets;
+  {
+    const ClientFleet fleet(kUsers, TruthValue, 4242);
+    RoundBufferOptions buffer_options;
+    buffer_options.round_deadline = std::chrono::milliseconds(2000);
+    RoundBuffer buffer(buffer_options);
+    FrameDemux demux;
+    demux.Register(kSessionId, &buffer);
+    SocketListener listener(0, demux.Handler());
+    std::vector<std::unique_ptr<SocketClient>> clients;
+    std::vector<FrameSender*> senders;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      clients.push_back(
+          std::make_unique<SocketClient>(listener.port(), /*flush_bytes=*/256));
+      senders.push_back(clients.back().get());
+    }
+    auto announce = [&](const RoundRequest& request) {
+      SendRoundFrames(senders, kSessionId, request.round_index,
+                      produce(fleet, request));
+    };
+    MechanismSession session(
+        CreateMechanism("LBA", SessionConfig("GRR"), kUsers), kDomain,
+        options, MakeBufferedTransport(buffer, announce, 1));
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      via_sockets.push_back(session.Advance().release);
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    for (auto& client : clients) client->Close();
+    listener.Stop();
+
+    const transport::RoundBufferStats bstats = buffer.stats();
+    EXPECT_EQ(bstats.deadline_flushes, 0u);
+    EXPECT_EQ(bstats.masked_losses, 0u);
+    EXPECT_EQ(bstats.duplicate_frames, 0u);
+    EXPECT_EQ(bstats.dropped(), 0u);
+    EXPECT_EQ(session.stats().malformed, kConnections * bstats.rounds_drained);
+    EXPECT_EQ(buffer.lane_count(), kConnections);
+    EXPECT_LT(elapsed, buffer_options.round_deadline);
+  }
+  EXPECT_EQ(via_sockets, expected);
+}
 
 // --- pooled decoder buffers -----------------------------------------------
 
